@@ -241,6 +241,13 @@ func main() {
 		}
 		fmt.Println(" nodes")
 	}
+	st := res.Stats
+	fmt.Printf("phases: coarsen %.3fs  init %.3fs  refine %.3fs  rebalance %.3fs (%d moves)\n",
+		st.CoarsenTime.Seconds(), st.InitTime.Seconds(), st.RefineTime.Seconds(),
+		st.RebalanceTime.Seconds(), st.RebalanceMoves)
+	if st.CoarsenStalls > 0 {
+		fmt.Printf("coarsening stalled in %d V-cycle(s)\n", st.CoarsenStalls)
+	}
 	if *out != "" {
 		if err := writePartition(*out, res.Partition); err != nil {
 			fmt.Fprintln(os.Stderr, "parhip:", err)

@@ -80,6 +80,11 @@ type Config struct {
 	Eps float64
 
 	// Class picks the default SizeFactor; SizeFactor overrides when > 0.
+	// The first V-cycle bounds cluster weight by U = Lmax/SizeFactor. The
+	// mesh factor 20000 assumes n ≫ 20000·k; when U is degenerate (at most
+	// the heaviest node, so no two nodes can share a cluster) coarsening
+	// uses U = Lmax/meshFallbackFactor instead, never below the heaviest
+	// node.
 	Class      GraphClass
 	SizeFactor float64
 
@@ -238,6 +243,11 @@ type Stats struct {
 	MaxBlockWeight int64
 	// RebalanceMoves counts nodes moved by the explicit rebalance stage.
 	RebalanceMoves int64
+	// CoarsenStalls counts the V-cycles whose coarsening stopped because a
+	// level shrank the graph by less than 5% while it was still above the
+	// coarsest-graph limit; such a cycle hands KaFFPaE a larger graph than
+	// intended (the whole input if it stalls at level 0).
+	CoarsenStalls int64
 	// MigratedNodes and MigrationVolume report, for runs with a
 	// Config.PrevPartition, how many nodes ended on a different block than
 	// before and their total node weight. Zero otherwise.
@@ -400,10 +410,7 @@ func PartitionDistributed(ctx context.Context, d *dgraph.DGraph, cfg Config) ([]
 			// (§V-A); drawn from the shared stream so all ranks agree.
 			f = float64(shared.IntRange(10, 25))
 		}
-		u := int64(float64(lmax) / f)
-		if u < maxNW {
-			u = maxNW
-		}
+		u := clusterBound(lmax, f, maxNW)
 
 		// --- Parallel coarsening ---
 		tCoarsen := time.Now() //lint:determinism-ok stats timing, never partition state
@@ -439,11 +446,17 @@ func PartitionDistributed(ctx context.Context, d *dgraph.DGraph, cfg Config) ([]
 				Stats:          &st.Par,
 			})
 			res := contract.ParContractWith(cur, labels, contract.ContractOptions{Pool: pool, Arena: ar})
-			c.Tracer().End2(spLvl, "level", int64(len(levels)), "coarse_n", res.Coarse.GlobalN)
+			var stalled int64 // the level shrank the graph by less than 5%
+			if res.Coarse.GlobalN >= cur.GlobalN*19/20 {
+				stalled = 1
+			}
+			c.Tracer().End3(spLvl, "level", int64(len(levels)), "coarse_n", res.Coarse.GlobalN,
+				"stalled", stalled)
 			// The level's sclp/contract scratch is dead; recycle the slabs.
 			ar.Reset()
-			if res.Coarse.GlobalN >= cur.GlobalN*19/20 {
-				break // coarsening stalled
+			if stalled == 1 {
+				st.CoarsenStalls++
+				break
 			}
 			if constraint != nil {
 				constraint = contract.ParLift(cur, res.Coarse, res.FineToCoarse, constraint)
@@ -619,6 +632,27 @@ func PartitionDistributed(ctx context.Context, d *dgraph.DGraph, cfg Config) ([]
 	report(Progress{Phase: PhaseDone, Cycle: cfg.VCycles - 1, Level: 0,
 		N: d.GlobalN, M: d.GlobalM, Cut: st.Cut, Imbalance: st.Imbalance})
 	return part, st, nil
+}
+
+// meshFallbackFactor replaces a size factor f whose bound Lmax/f is
+// degenerate. The paper's mesh factor f = 20000 (§V-A) assumes n ≫ f·k;
+// below that, Lmax/f rounds to at most the heaviest node, clustering merges
+// nothing, coarsening stalls at the input and every rank gathers the whole
+// graph for KaFFPaE. 50 comes from a sweep over the bench gallery and rgg
+// n=2^17, k=16 (DESIGN.md §15): f = 14 and 25 raised the 3D-mesh k=2 cuts by
+// 16-23%, 35 and 100 lost up to 5-6% on rgg, and 50 stayed within 1% of
+// every old mesh cut. For f <= 50 the fallback never changes the bound.
+const meshFallbackFactor = 50
+
+// clusterBound is the coarsening size constraint U for one V-cycle:
+// ⌊lmax/f⌋, or ⌊lmax/meshFallbackFactor⌋ when ⌊lmax/f⌋ <= maxNW, and never
+// below maxNW so every node fits in its own cluster.
+func clusterBound(lmax int64, f float64, maxNW int64) int64 {
+	u := int64(float64(lmax) / f)
+	if u <= maxNW {
+		u = int64(float64(lmax) / meshFallbackFactor)
+	}
+	return max(u, maxNW)
 }
 
 // remapBlocks relabels p's blocks in place to maximize the node-weighted

@@ -150,6 +150,8 @@ type jobManager struct {
 	transport   transport.Stats // guarded by mu
 	par         sclp.ParStats   // guarded by mu: intra-rank worksharing totals
 	cutSum      int64           // guarded by mu
+	stalls      int64           // guarded by mu: coarsening stalls
+	rebalMoves  int64           // guarded by mu: nodes moved by rebalancing
 
 	// queueWait/runDur are the /metrics latency histograms, observed by
 	// runJob for every job that occupies a worker (cache hits at
@@ -529,6 +531,8 @@ func (m *jobManager) runJob(j *job) {
 	m.transport.Add(res.Stats.Transport)
 	m.par.Add(res.Stats.Par)
 	m.cutSum += res.Cut
+	m.stalls += res.Stats.CoarsenStalls
+	m.rebalMoves += res.Stats.RebalanceMoves
 	m.finishLocked(j, &res, false, end)
 }
 

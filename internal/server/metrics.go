@@ -73,6 +73,12 @@ func (s *Server) buildMetrics(reg *obs.Registry) {
 	reg.CounterFunc("parhipd_core_runs_total",
 		"Partitioner invocations (cache hits excluded).",
 		lockedGauge(func() float64 { return float64(m.coreRuns) }))
+	reg.CounterFunc("parhipd_core_coarsen_stalls_total",
+		"V-cycles whose coarsening stopped at the 5%-shrink check above the coarsest-graph limit.",
+		lockedGauge(func() float64 { return float64(m.stalls) }))
+	reg.CounterFunc("parhipd_core_rebalance_moves_total",
+		"Nodes moved by the post-refinement rebalancing stage across all core runs.",
+		lockedGauge(func() float64 { return float64(m.rebalMoves) }))
 	reg.CounterFunc("parhipd_comm_messages_total",
 		"Messages sent across the simulated ranks of all core runs.",
 		lockedGauge(func() float64 { return float64(m.comm.MessagesSent) }))

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro"
@@ -64,6 +65,10 @@ func TestMetricsExposition(t *testing.T) {
 		"parhipd_cache_hits_total 1",
 		"parhipd_cache_misses_total 1",
 		"parhipd_core_runs_total 1",
+		"# TYPE parhipd_core_coarsen_stalls_total counter",
+		"parhipd_core_coarsen_stalls_total 0",
+		"# TYPE parhipd_core_rebalance_moves_total counter",
+		"parhipd_core_rebalance_moves_total 0",
 		"# TYPE parhipd_queue_depth gauge",
 		"parhipd_queue_depth 0",
 		"parhipd_worker_utilization 0",
@@ -86,6 +91,53 @@ func TestMetricsExposition(t *testing.T) {
 		}
 		if fields := strings.Fields(line); len(fields) != 2 {
 			t.Errorf("sample line %q: want exactly 'name value'", line)
+		}
+	}
+}
+
+// TestCoreStallAndRebalanceCounters checks that the coarsening stalls and
+// rebalance moves of every core run are summed into /v1/stats
+// (core.coarsen_stalls, core.rebalance_moves) and /metrics alike.
+func TestCoreStallAndRebalanceCounters(t *testing.T) {
+	var calls atomic.Int64
+	stub := stubPartitionFn(&calls)
+	cfg := Config{Workers: 1}
+	cfg.PartitionFn = func(ctx context.Context, g *graph.Graph, k int32, opt parhip.Options,
+		prev *parhip.Partition, onProgress func(parhip.ProgressEvent)) (parhip.Result, error) {
+		res, err := stub(ctx, g, k, opt, prev, onProgress)
+		res.Stats.CoarsenStalls = 1
+		res.Stats.RebalanceMoves = 7
+		return res, err
+	}
+	e := newEnv(t, cfg)
+	id := e.uploadMetis(testGraph(7))
+	for _, k := range []int{2, 3} {
+		v, _ := e.submit(fmt.Sprintf(`{"graph_id":%q,"k":%d,"options":{"mode":"minimal"}}`, id, k))
+		if v = e.await(v.ID); v.State != StateDone {
+			t.Fatalf("k=%d job finished %s: %s", k, v.State, v.Error)
+		}
+	}
+
+	var st struct {
+		Core struct {
+			CoarsenStalls  int64 `json:"coarsen_stalls"`
+			RebalanceMoves int64 `json:"rebalance_moves"`
+		} `json:"core"`
+	}
+	if code, raw := e.do("GET", "/v1/stats", nil, &st); code != http.StatusOK {
+		t.Fatalf("GET /v1/stats: status %d: %s", code, raw)
+	}
+	if st.Core.CoarsenStalls != 2 || st.Core.RebalanceMoves != 14 {
+		t.Errorf("/v1/stats core.coarsen_stalls=%d core.rebalance_moves=%d, want 2 and 14",
+			st.Core.CoarsenStalls, st.Core.RebalanceMoves)
+	}
+	_, _, text := e.getRaw("/metrics")
+	for _, want := range []string{
+		"parhipd_core_coarsen_stalls_total 2\n",
+		"parhipd_core_rebalance_moves_total 14\n",
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("/metrics lacks %q", want)
 		}
 	}
 }

@@ -786,6 +786,11 @@ type StatsView struct {
 		DenseExchanges    int64 `json:"dense_exchanges"`
 		NeighborExchanges int64 `json:"neighbor_exchanges"`
 		CumulativeCut     int64 `json:"cumulative_cut"`
+		// CoarsenStalls counts V-cycles whose coarsening stopped short at
+		// the 5%-shrink check (core.Stats.CoarsenStalls); RebalanceMoves
+		// counts nodes moved by the post-refinement rebalancing stage.
+		CoarsenStalls  int64 `json:"coarsen_stalls"`
+		RebalanceMoves int64 `json:"rebalance_moves"`
 		// Transport is the transport-level view of the same traffic,
 		// aggregated over those runs: frames/bytes actually handed to the
 		// transport, plus the failure-path counters (reconnects, heartbeat
@@ -842,6 +847,8 @@ func (s *Server) Stats() StatsView {
 	v.Core.NeighborExchanges = m.comm.NeighborExchanges
 	v.Core.Transport = m.transport
 	v.Core.CumulativeCut = m.cutSum
+	v.Core.CoarsenStalls = m.stalls
+	v.Core.RebalanceMoves = m.rebalMoves
 	v.Core.Sclp.Workers = m.par.Workers
 	v.Core.Sclp.Supersteps = m.par.Supersteps
 	v.Core.Sclp.ProposeMS = float64(m.par.ProposeNS) / 1e6

@@ -84,7 +84,9 @@ const (
 type GraphClass int
 
 // Graph classes: social/web graphs use f=14, mesh-like graphs f=20000
-// (§V-A).
+// (§V-A). The mesh factor assumes n ≫ 20000·k; on smaller meshes, where
+// Lmax/20000 would not let two nodes share a cluster, coarsening uses
+// f=50 instead (DESIGN.md §15).
 const (
 	Social GraphClass = iota
 	Mesh
